@@ -7,10 +7,11 @@ package torchgt
 import (
 	"io"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"torchgt/internal/attention"
-	"torchgt/internal/dist"
+	"torchgt/internal/dist/transport"
 	"torchgt/internal/graph"
 	"torchgt/internal/partition"
 	"torchgt/internal/sparse"
@@ -154,18 +155,34 @@ func BenchmarkPartition8K(b *testing.B) {
 	}
 }
 
+// BenchmarkAllToAll measures one 4-rank all-to-all of 256×64 parts over
+// the in-process Mem transport, one goroutine per rank.
 func BenchmarkAllToAll(b *testing.B) {
-	c := dist.NewComm(4)
+	mesh := transport.NewMem(4)
+	groups := make([]*transport.Group, len(mesh))
+	for r, t := range mesh {
+		groups[r] = transport.WorldGroup(t)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := dist.Run(c, func(rank int) {
-			parts := make([]*tensor.Mat, 4)
-			for d := range parts {
-				parts[d] = tensor.New(256, 64)
+		var wg sync.WaitGroup
+		errs := make([]error, len(groups))
+		for r, g := range groups {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				parts := make([]*tensor.Mat, len(groups))
+				for d := range parts {
+					parts[d] = tensor.New(256, 64)
+				}
+				_, errs[r] = g.AllToAll(parts)
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
 			}
-			c.AllToAll(rank, parts)
-		}); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

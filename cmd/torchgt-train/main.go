@@ -20,8 +20,9 @@
 //
 // -data accepts any dataset spec (see torchgt-data list); the session
 // records the spec in checkpoints, so -resume needs no dataset flags at
-// all. -seqpar P trains under the simulated sequence-parallel execution
-// plan (P ranks resharding sequence↔heads through channel all-to-alls).
+// all. -seqpar P trains under the sequence-parallel execution plan with P
+// in-process ranks (each runs its share of the attention heads in its own
+// goroutine; one all-gather per attention boundary reassembles them).
 // The trajectory is bitwise identical to the serial run, so every other
 // feature — events, checkpoints, resume, early stopping — composes with it.
 // -backend opt trains on the autotuned optimized kernels (faster, within a
@@ -82,7 +83,7 @@ func run(ctx context.Context, args []string) error {
 	egoWorkers := fs.Int("ego-workers", 0, "sampling-pipeline workers for -ego (0 = synchronous; any count is bitwise-identical)")
 	reorderK := fs.Int("reorder", 0, "cluster-reorder the node dataset into K partition-contiguous blocks (appends reorder=cluster&reorderk=K to the spec; 0 = off)")
 	pack := fs.Bool("pack", false, "pack contiguous sparse-mode graphs of each graph-level batch into one block-diagonal forward (bitwise-identical gradients)")
-	seqPar := fs.Int("seqpar", 1, "sequence-parallel ranks (simulated; bitwise-identical to serial, heads must divide)")
+	seqPar := fs.Int("seqpar", 1, "sequence-parallel ranks in this process (head-partitioned; bitwise-identical to serial, heads must divide)")
 	execWorkers := fs.Int("exec-workers", 0, "attention-head parallelism (0 = all cores)")
 	unpooled := fs.Bool("unpooled", false, "disable workspace pooling (debug/benchmark)")
 	patience := fs.Int("patience", 0, "early-stopping patience in epochs (0 = off)")

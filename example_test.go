@@ -56,21 +56,3 @@ func ExampleTrainNode() {
 	// epochs: 8
 	// loss decreased: true
 }
-
-// ExampleNewDistTrainer runs one sequence-parallel training step across two
-// simulated ranks through the deprecated DistTrainer wrapper (new code uses
-// NewSession with WithSeqParallel) and shows that real tensors were
-// exchanged.
-func ExampleNewDistTrainer() {
-	ds, err := torchgt.LoadNodeDataset("arxiv-sim", 128, 3)
-	if err != nil {
-		panic(err)
-	}
-	cfg := torchgt.GraphormerSlim(ds.X.Cols, ds.NumClasses, 4)
-	cfg.Dropout = 0
-	trainer := torchgt.NewDistTrainer(2, cfg, 1e-3)
-	trainer.Step(torchgt.NodeInputs(ds), torchgt.SparseNodeSpec(ds), ds.Y, ds.TrainMask)
-	fmt.Println("communicated:", trainer.Comm.TotalBytes() > 0)
-	// Output:
-	// communicated: true
-}

@@ -1,12 +1,12 @@
 // Distributed example: sequence parallelism as an execution plan. The same
-// Session API that trains serially trains across 4 simulated ranks when
-// WithSeqParallel is set: every rank owns S/4 sequence rows, each attention
-// layer reshards sequence↔heads with channel all-to-alls (the
-// DeepSpeed-Ulysses schedule behind the paper's Cluster-aware Graph
-// Parallelism, §III-C), and each optimiser step ends with the fixed-order
-// gradient-synchronisation collective. The training trajectory — losses,
-// accuracies, weights — is bitwise identical to the serial run, which this
-// example verifies.
+// Session API that trains serially trains across 4 in-process ranks when
+// WithSeqParallel is set: each rank runs a quarter of the attention heads
+// over the full sequence in its own goroutine, and one all-gather over the
+// in-process transport reassembles the heads at every attention boundary
+// (the head decomposition of the paper's Cluster-aware Graph Parallelism,
+// §III-C). The same plan runs across processes over TCP. The training
+// trajectory — losses, accuracies, weights — is bitwise identical to the
+// serial run, which this example verifies.
 package main
 
 import (

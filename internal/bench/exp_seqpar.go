@@ -11,6 +11,7 @@ import (
 	"torchgt/internal/dist"
 	"torchgt/internal/dist/transport"
 	"torchgt/internal/model"
+	"torchgt/internal/nn"
 	"torchgt/internal/train"
 )
 
@@ -23,10 +24,12 @@ func init() {
 }
 
 // runSeqPar trains the same node task under the sequence-parallel plan at
-// P ∈ {1, 2, 4} and reports, per P: measured optimiser-step time, measured
-// collective traffic per step (resharding all-to-alls + gradient sync), the
-// analytic reshard volume the Ulysses schedule predicts, and the RTX3090
-// perf model's predicted step time at the same shape. Every run trains
+// P ∈ {1, 2, 4} and reports, per P: measured optimiser-step time, the
+// head all-gather bytes measured per step (checked against the schedule's
+// exact 4L·(P−1)·S·H·4), the largest per-rank head-section workspace held
+// at the end of a step, the analytic reshard volume the paper's Ulysses
+// all-to-all schedule would move instead, and the RTX3090 perf model's
+// predicted step time at the same shape. Every run trains
 // bitwise-identically (the plan guarantee), so the rows differ only in
 // execution, not numerics — the final loss column demonstrates it.
 func runSeqPar(ctx context.Context, w io.Writer, scale Scale) error {
@@ -42,7 +45,7 @@ func runSeqPar(ctx context.Context, w io.Writer, scale Scale) error {
 	shape := dist.ModelShape{Layers: mcfg.Layers, Hidden: mcfg.Hidden, Heads: mcfg.Heads, FFNHidden: mcfg.FFNHidden}
 	pm := &dist.PerfModel{HW: dist.RTX3090}
 
-	tb := &table{header: []string{"P", "loss", "step(s)", "comm/step MB", "model reshard MB", "model step(s)"}}
+	tb := &table{header: []string{"P", "loss", "step(s)", "gather/step MB", "rank ws MB", "model reshard MB", "model step(s)"}}
 	var firstLoss float64
 	var serialPairsPerHead int64
 	for _, p := range []int{1, 2, 4} {
@@ -52,14 +55,15 @@ func runSeqPar(ctx context.Context, w io.Writer, scale Scale) error {
 		tr := train.NewNodeTrainer(train.NodeConfig{
 			Method: train.GPSparse, Epochs: epochs, LR: 1e-3, Seed: 63, SeqParallel: p,
 		}, mcfg, ds)
-		// Sample comm counters at epoch events so the per-step figure covers
-		// exactly one optimiser step (the node task runs one per epoch) and
-		// excludes the final clean-evaluation forward after the last epoch.
+		// Sample transport counters at epoch events so the per-step figure
+		// covers exactly one optimiser step (the node task runs one per
+		// epoch) and excludes the final clean-evaluation forward.
 		var marks []int64
-		if sp := model.AsSeqParallel(tr.Model.Plan()); sp != nil {
+		sp := model.AsDistSeqParallel(tr.Model.Plan())
+		if sp != nil {
 			tr.Loop().Sink = func(e train.Event) {
 				if _, ok := e.(train.EpochEvent); ok {
-					marks = append(marks, sp.Comm().TotalBytes())
+					marks = append(marks, sp.TransportBytes())
 				}
 			}
 		}
@@ -70,12 +74,22 @@ func runSeqPar(ctx context.Context, w io.Writer, scale Scale) error {
 		}
 		stepSec := time.Since(t0).Seconds() / float64(epochs)
 
-		var commPerStep float64
+		var gather int64
 		switch {
 		case len(marks) >= 2:
-			commPerStep = float64(marks[len(marks)-1] - marks[len(marks)-2])
+			gather = marks[len(marks)-1] - marks[len(marks)-2]
 		case len(marks) == 1:
-			commPerStep = float64(marks[0])
+			gather = marks[0]
+		}
+		// One forward and three backward head all-gathers per layer, each
+		// rank sending its S×(H/P) block to P−1 peers.
+		wantGather := int64(4*shape.Layers*(p-1)*nodes*shape.Hidden) * 4
+		if gather != wantGather {
+			return fmt.Errorf("seqpar: P=%d moved %d gather bytes per step, the schedule moves %d", p, gather, wantGather)
+		}
+		rankWS := "-"
+		if sp != nil {
+			rankWS = fmt.Sprintf("%.2f", float64(rankHeldAfterStep(tr, sp))/(1<<20))
 		}
 		// The Ulysses schedule: 8 all-to-alls per layer per fwd+bwd step,
 		// each moving (S/P)·H·4 bytes per rank with (P−1)/P off-rank.
@@ -95,12 +109,13 @@ func runSeqPar(ctx context.Context, w io.Writer, scale Scale) error {
 			return fmt.Errorf("seqpar: P=%d trajectory diverged from serial (loss %v vs %v)", p, loss, firstLoss)
 		}
 		tb.addRow(fmt.Sprint(p), fmt.Sprintf("%.6f", loss), f3(stepSec),
-			fmt.Sprintf("%.2f", commPerStep/(1<<20)), fmt.Sprintf("%.2f", reshard/(1<<20)),
+			fmt.Sprintf("%.2f", float64(gather)/(1<<20)), rankWS, fmt.Sprintf("%.2f", reshard/(1<<20)),
 			f3(cost.Total.Seconds()))
 	}
 	tb.write(w)
-	fmt.Fprintln(w, "expected shape: identical loss at every P (bitwise trajectory); measured comm/step tracks the")
-	fmt.Fprintln(w, "model's O(S/P)-per-rank reshard volume plus the gradient all-gather; model step time falls ~1/P")
+	fmt.Fprintln(w, "expected shape: identical loss at every P (bitwise trajectory); gather/step is the head all-gather")
+	fmt.Fprintln(w, "that runs, 4L·(P−1)·S·H·4 bytes — O(S) per rank, above the analytic Ulysses O(S/P) reshard the")
+	fmt.Fprintln(w, "model column prices (see DESIGN.md); per-rank head workspace falls ~1/P; model step time falls ~1/P")
 
 	// The same task once more at P=4 — this time as four ranks of the
 	// cross-process plan exchanging collectives over real TCP on the
@@ -120,6 +135,20 @@ func runSeqPar(ctx context.Context, w io.Writer, scale Scale) error {
 	fmt.Fprintf(w, "tcp-loopback P=%d: loss %.6f (bitwise-equal to serial), measured step %ss, loopback-model step %ss\n",
 		tcpWorld, loss, f3(stepSec), f3(cost.Total.Seconds()))
 	return nil
+}
+
+// rankHeldAfterStep runs one more training step on a finished trainer and
+// reports the largest per-rank head-section workspace held at its end,
+// before the step boundary releases it. The step's gradients are discarded.
+func rankHeldAfterStep(tr *train.NodeTrainer, sp *model.DistSeqParallel) int64 {
+	tr.Step(tr.Cfg.Epochs, 0, 0)
+	var held int64
+	for _, st := range sp.RankAllocStats() {
+		held = max(held, st.HeldBytes)
+	}
+	sp.StepReset()
+	nn.ZeroGrads(tr.Model.Params())
+	return held
 }
 
 // runSeqParTCP trains the node task as `world` real TCP-loopback ranks — one

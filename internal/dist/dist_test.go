@@ -1,28 +1,68 @@
 package dist
 
+// The collective tests pin transport.Group over the in-process Mem
+// transport: the contract the sequence-parallel plan and the TCP path share.
+
 import (
 	"fmt"
-	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"torchgt/internal/dist/transport"
 	"torchgt/internal/tensor"
 )
 
-// mustRun is the test-side Run wrapper: collective tests expect no rank to
-// fail.
-func mustRun(t *testing.T, c *Comm, f func(rank int)) {
-	t.Helper()
-	if err := Run(c, f); err != nil {
-		t.Fatal(err)
+// memWorld is a p-rank in-process job: one Mem endpoint and one world
+// group per rank.
+type memWorld struct {
+	mesh   []*transport.Mem
+	groups []*transport.Group
+}
+
+func newMemWorld(p int) *memWorld {
+	w := &memWorld{mesh: transport.NewMem(p)}
+	for _, t := range w.mesh {
+		w.groups = append(w.groups, transport.WorldGroup(t))
 	}
+	return w
+}
+
+// run calls f on every rank's goroutine and fails the test if any rank's
+// collective fails — collective tests expect none to.
+func (w *memWorld) run(t *testing.T, f func(rank int, g *transport.Group) error) {
+	t.Helper()
+	errs := make([]error, len(w.groups))
+	var wg sync.WaitGroup
+	for r, g := range w.groups {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[r] = f(r, g)
+		}()
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+}
+
+// totalBytes reports the payload bytes sent by all ranks.
+func (w *memWorld) totalBytes() int64 {
+	var n int64
+	for _, m := range w.mesh {
+		n += m.BytesSent()
+	}
+	return n
 }
 
 func TestAllToAllDeliversByRank(t *testing.T) {
 	const p = 3
-	c := NewComm(p)
+	w := newMemWorld(p)
 	got := make([][]*tensor.Mat, p)
-	mustRun(t, c, func(rank int) {
+	w.run(t, func(rank int, g *transport.Group) (err error) {
 		parts := make([]*tensor.Mat, p)
 		for d := 0; d < p; d++ {
 			m := tensor.New(1, 2)
@@ -30,7 +70,8 @@ func TestAllToAllDeliversByRank(t *testing.T) {
 			m.Data[1] = float32(d)
 			parts[d] = m
 		}
-		got[rank] = c.AllToAll(rank, parts)
+		got[rank], err = g.AllToAll(parts)
+		return err
 	})
 	for dst := 0; dst < p; dst++ {
 		for src := 0; src < p; src++ {
@@ -41,16 +82,16 @@ func TestAllToAllDeliversByRank(t *testing.T) {
 		}
 	}
 	// 2 off-rank parts × 3 ranks × 8 bytes
-	if c.TotalBytes() != int64(p*(p-1)*8) {
-		t.Fatalf("bytes=%d", c.TotalBytes())
+	if w.totalBytes() != int64(p*(p-1)*8) {
+		t.Fatalf("bytes=%d", w.totalBytes())
 	}
 }
 
-// TestCollectivesDegenerateShapes is the table test for the shapes sequence
-// parallelism produces when S is not divisible by P: zero-row parts (empty
-// tail shards), zero-column parts, nil parts, uneven row counts per
-// destination, and single-element messages. Every shape must round-trip
-// losslessly, count only real bytes, and never panic.
+// TestCollectivesDegenerateShapes is the table test for degenerate
+// collective payloads: zero-row parts (empty tail shards), zero-column
+// parts, nil parts, uneven row counts per destination, and single-element
+// messages. Every shape must round-trip losslessly, count only real bytes,
+// and never panic.
 func TestCollectivesDegenerateShapes(t *testing.T) {
 	cases := []struct {
 		name string
@@ -75,7 +116,7 @@ func TestCollectivesDegenerateShapes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := NewComm(tc.p)
+			w := newMemWorld(tc.p)
 			got := make([][]*tensor.Mat, tc.p)
 			var wantBytes int64
 			for src := 0; src < tc.p; src++ {
@@ -85,7 +126,7 @@ func TestCollectivesDegenerateShapes(t *testing.T) {
 					}
 				}
 			}
-			mustRun(t, c, func(rank int) {
+			w.run(t, func(rank int, g *transport.Group) (err error) {
 				parts := make([]*tensor.Mat, tc.p)
 				for d := 0; d < tc.p; d++ {
 					if tc.rows[rank][d] < 0 {
@@ -97,7 +138,8 @@ func TestCollectivesDegenerateShapes(t *testing.T) {
 					}
 					parts[d] = m
 				}
-				got[rank] = c.AllToAll(rank, parts)
+				got[rank], err = g.AllToAll(parts)
+				return err
 			})
 			for dst := 0; dst < tc.p; dst++ {
 				for src := 0; src < tc.p; src++ {
@@ -118,8 +160,8 @@ func TestCollectivesDegenerateShapes(t *testing.T) {
 					}
 				}
 			}
-			if c.TotalBytes() != wantBytes {
-				t.Fatalf("bytes=%d want %d", c.TotalBytes(), wantBytes)
+			if w.totalBytes() != wantBytes {
+				t.Fatalf("bytes=%d want %d", w.totalBytes(), wantBytes)
 			}
 		})
 	}
@@ -130,14 +172,15 @@ func TestAllGatherDegenerateShapes(t *testing.T) {
 	for _, rows := range []int{0, 1, 5} {
 		t.Run(fmt.Sprintf("rows=%d", rows), func(t *testing.T) {
 			const p = 3
-			c := NewComm(p)
+			w := newMemWorld(p)
 			got := make([][]*tensor.Mat, p)
-			mustRun(t, c, func(rank int) {
+			w.run(t, func(rank int, g *transport.Group) (err error) {
 				m := tensor.New(rows, 2)
 				for i := range m.Data {
 					m.Data[i] = float32(rank)
 				}
-				got[rank] = c.AllGather(rank, m)
+				got[rank], err = g.AllGather(m)
+				return err
 			})
 			for dst := 0; dst < p; dst++ {
 				for src := 0; src < p; src++ {
@@ -156,10 +199,11 @@ func TestAllGatherDegenerateShapes(t *testing.T) {
 	}
 	t.Run("nil", func(t *testing.T) {
 		const p = 2
-		c := NewComm(p)
+		w := newMemWorld(p)
 		got := make([][]*tensor.Mat, p)
-		mustRun(t, c, func(rank int) {
-			got[rank] = c.AllGather(rank, nil)
+		w.run(t, func(rank int, g *transport.Group) (err error) {
+			got[rank], err = g.AllGather(nil)
+			return err
 		})
 		for dst := 0; dst < p; dst++ {
 			for src := 0; src < p; src++ {
@@ -168,23 +212,23 @@ func TestAllGatherDegenerateShapes(t *testing.T) {
 				}
 			}
 		}
-		if c.TotalBytes() != 0 {
-			t.Fatalf("nil gather must move no bytes, got %d", c.TotalBytes())
+		if w.totalBytes() != 0 {
+			t.Fatalf("nil gather must move no bytes, got %d", w.totalBytes())
 		}
 	})
 }
 
 func TestAllReduceSums(t *testing.T) {
 	const p = 4
-	c := NewComm(p)
+	w := newMemWorld(p)
 	mats := make([]*tensor.Mat, p)
 	for r := range mats {
 		m := tensor.New(2, 3)
 		m.Fill(float32(r + 1))
 		mats[r] = m
 	}
-	mustRun(t, c, func(rank int) {
-		c.AllReduce(rank, []*tensor.Mat{mats[rank]})
+	w.run(t, func(rank int, g *transport.Group) error {
+		return g.AllReduce([]*tensor.Mat{mats[rank]})
 	})
 	for r := 0; r < p; r++ {
 		for _, v := range mats[r].Data {
@@ -195,10 +239,10 @@ func TestAllReduceSums(t *testing.T) {
 	}
 }
 
-// TestAllReduceFixedOrderDeterminism pins the property the sequence-parallel
-// determinism argument rests on: the reduction folds rank partials in
-// ascending rank order on every rank, so all replicas obtain bit-identical
-// (not merely approximately equal) sums regardless of goroutine scheduling.
+// TestAllReduceFixedOrderDeterminism pins the property the determinism
+// argument rests on: the reduction folds rank partials in ascending rank
+// order on every rank, so all replicas obtain bit-identical (not merely
+// approximately equal) sums regardless of goroutine scheduling.
 func TestAllReduceFixedOrderDeterminism(t *testing.T) {
 	const p = 4
 	vals := []float32{1e8, -1e8, 3.25e-3, 7.5e-1} // order-sensitive under fp32
@@ -207,55 +251,21 @@ func TestAllReduceFixedOrderDeterminism(t *testing.T) {
 		want += v
 	}
 	for trial := 0; trial < 8; trial++ {
-		c := NewComm(p)
+		w := newMemWorld(p)
 		mats := make([]*tensor.Mat, p)
 		for r := range mats {
 			m := tensor.New(1, 1)
 			m.Data[0] = vals[r]
 			mats[r] = m
 		}
-		mustRun(t, c, func(rank int) {
-			c.AllReduce(rank, []*tensor.Mat{mats[rank]})
+		w.run(t, func(rank int, g *transport.Group) error {
+			return g.AllReduce([]*tensor.Mat{mats[rank]})
 		})
 		for r := 0; r < p; r++ {
 			if mats[r].Data[0] != want {
 				t.Fatalf("trial %d rank %d: %v != %v", trial, r, mats[r].Data[0], want)
 			}
 		}
-	}
-}
-
-// TestRunPanicPropagates pins the satellite fix: a rank that panics while
-// its peers are blocked inside a collective must not deadlock the group —
-// Run tears the transport down, unblocks everyone, and returns the primary
-// panic (not a cascading rank-lost victim) as its error.
-func TestRunPanicPropagates(t *testing.T) {
-	const p = 3
-	c := NewComm(p)
-	done := make(chan error, 1)
-	go func() {
-		done <- Run(c, func(rank int) {
-			if rank == 1 {
-				panic("boom")
-			}
-			// The other ranks enter a collective rank 1 never will.
-			c.AllGather(rank, tensor.New(1, 1))
-		})
-	}()
-	select {
-	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "boom") {
-			t.Fatalf("want the primary panic back, got %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("Run deadlocked on a panicking rank")
-	}
-	// The group is poisoned: later collectives fail fast instead of hanging.
-	err := Run(c, func(rank int) {
-		c.AllGather(rank, tensor.New(1, 1))
-	})
-	if err == nil {
-		t.Fatal("collectives on a torn-down group must fail")
 	}
 }
 

@@ -1,3 +1,10 @@
+// Package dist holds the analytic performance and memory models of the
+// paper's two testbeds, used by the experiment harness to extrapolate
+// laptop-scale measurements to paper-scale sequence lengths. Communication
+// lives in internal/dist/transport (the in-process Mem and TCP transports
+// and the fixed-order Group collectives); the execution side of sequence
+// parallelism — the paper's Cluster-aware Graph Parallelism (§III-C) — is
+// internal/model's DistSeqParallel plan, which runs over those transports.
 package dist
 
 import "time"

@@ -1,8 +1,8 @@
 // The sequence-parallel step benchmark lives with the communication layer it
-// exercises (package dist_test so the model → dist dependency stays
-// one-way). CI's bench-regression lane pins its allocs/op: a regression here
-// means a lost pooling path in the plan's resharding or a per-step
-// allocation sneaking into the collectives.
+// exercises (package dist_test, so it may import internal/model). CI's
+// bench-regression lane pins its allocs/op: a regression here means a lost
+// pooling path in the plan's head section or a per-step allocation sneaking
+// into the collectives.
 package dist_test
 
 import (
@@ -17,9 +17,10 @@ import (
 	"torchgt/internal/tensor"
 )
 
-// BenchmarkSeqParStep measures one sequence-parallel optimiser step (P=2):
-// forward with two resharded attention layers, backward, the gradient-sync
-// collective, optimiser update and workspace reset.
+// BenchmarkSeqParStep measures one in-process sequence-parallel optimiser
+// step (P=2, one goroutine per rank over the Mem transport): forward with
+// two head-gathered attention layers, backward, gradient sync, optimiser
+// update and workspace reset.
 func BenchmarkSeqParStep(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	g := graph.ErdosRenyi(256, 0.05, rng)
@@ -38,7 +39,7 @@ func BenchmarkSeqParStep(b *testing.B) {
 
 	cfg := model.Config{Name: "seqpar-bench", Layers: 2, Hidden: 32, Heads: 4, InDim: 8, OutDim: 3, Seed: 6}
 	m := model.NewGraphTransformer(cfg)
-	plan := model.NewSeqParallel(2, model.ExecOptions{PoolEnabled: true})
+	plan := model.NewInProcessSeqParallel(2, model.ExecOptions{PoolEnabled: true})
 	m.SetPlan(plan)
 	params := m.Params()
 	opt := nn.NewAdam(1e-3)

@@ -12,8 +12,7 @@ import (
 // member order, which is the heart of the cross-process determinism
 // argument: the transport only moves bytes, every member folds the same
 // values in the same order with the same float32 operations, so every
-// member computes bit-identical results — and identical ones to the
-// in-process dist.Comm, which folds the same way.
+// member computes bit-identical results, in or out of process.
 //
 // Collectives are synchronising: every member must enter each one, in the
 // same global order. Construct the Group with the member ranks in the same
@@ -26,8 +25,8 @@ type Group struct {
 	// async moves the send sweep to a goroutine. TCP needs it — a large
 	// frame blocks until the peer drains it, and all members send before
 	// any receives — while the in-process mesh's buffered channels absorb
-	// the sweep, so it keeps the caller-thread sends (and the allocation
-	// profile) the channel Comm always had.
+	// the sweep, so it keeps the sends (and their allocations) on the
+	// caller's goroutine.
 	async bool
 }
 
@@ -83,7 +82,8 @@ func (g *Group) Transport() Transport { return g.t }
 // AllToAll sends parts[i] to the group's i-th member and returns the parts
 // received, indexed by member (own part passed through untouched). Incoming
 // matrices are read-only — ownership stays with the sender. nil, zero-row
-// and zero-column parts are first-class, per the dist.Comm contract.
+// and zero-column parts are first-class (empty blocks round-trip with their
+// shapes and move no bytes).
 func (g *Group) AllToAll(parts []*tensor.Mat) ([]*tensor.Mat, error) {
 	n := len(g.ranks)
 	if len(parts) != n {
@@ -171,7 +171,7 @@ func (g *Group) Barrier() error {
 // AllReduce sums the members' matrices element-wise, in place, leaving every
 // member with the identical total: an all-gather of the flattened vector
 // followed by a zero-seeded fold in fixed member order — bitwise-identical
-// to dist.Comm.AllReduce, on every member, in or out of process.
+// on every member, in or out of process.
 func (g *Group) AllReduce(mats []*tensor.Mat) error {
 	n := 0
 	for _, m := range mats {
@@ -255,7 +255,7 @@ func (g *Group) AllReduceMean(mats []*tensor.Mat) error {
 }
 
 // AllReduceScalar sums one float across the group (loss reporting), folding
-// in fixed member order like dist.Comm.AllReduceScalar.
+// in fixed member order like AllReduce.
 func (g *Group) AllReduceScalar(v float64) (float64, error) {
 	m := tensor.New(1, 1)
 	m.Data[0] = float32(v)

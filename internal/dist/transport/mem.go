@@ -35,7 +35,7 @@ func (g *memGroup) err() error {
 }
 
 // Mem is the in-process Transport: one rank of a channel mesh shared by the
-// goroutine "devices" of a simulated job. Payloads move by pointer —
+// goroutine ranks of one in-process job. Payloads move by pointer —
 // zero-copy, zero-serialisation — which is why receivers must honour the
 // read-only contract.
 type Mem struct {
@@ -147,8 +147,8 @@ func (m *Mem) Close() error {
 }
 
 // Abort tears the group down with a caller-supplied reason, unblocking every
-// pending collective on every rank. dist.Comm.Run uses it to propagate a
-// rank panic instead of deadlocking.
+// pending collective on every rank. The sequence-parallel plan's local-rank
+// launcher uses it to propagate a rank panic instead of deadlocking.
 func (m *Mem) Abort(err error) {
 	if err == nil {
 		err = ErrClosed

@@ -1,10 +1,11 @@
-// Package transport is the point-to-point substrate beneath the dist
-// collectives: framed tensor.Mat send/recv between the ranks of one
-// training job, with two implementations behind one sealed interface —
-// the in-process channel mesh the simulated runtime always used (now
-// dist.Comm's engine), and a TCP transport with a versioned wire format
-// and a rendezvous/rank-assignment handshake that lets the same
-// bitwise-pinned Ulysses schedule span real OS processes and machines.
+// Package transport is the communication substrate of sequence-parallel
+// training: framed tensor.Mat send/recv between the ranks of one training
+// job, with two implementations behind one sealed interface — the
+// in-process channel mesh (Mem, which hosts every rank of a WithSeqParallel
+// job) and a TCP transport with a versioned wire format and a
+// rendezvous/rank-assignment handshake that lets the same bitwise-pinned
+// schedule span real OS processes and machines — plus the fixed-order
+// Group collectives both share.
 //
 // Determinism contract: a Transport moves bytes and imposes ordering;
 // it never computes. All floating-point reduction lives in Group
@@ -73,7 +74,7 @@ func IsRankLost(err error) bool { return errors.Is(err, ErrRankLost) }
 // Transport is point-to-point communication among the ranks of one job:
 // framed tensor.Mat payloads plus a barrier. One Transport value belongs to
 // one rank. nil matrices are first-class payloads (they round-trip as nil),
-// matching the dist.Comm collective contract.
+// which the collectives rely on for empty blocks.
 //
 // Ordering: frames between a (src, dst) pair arrive in send order. Methods
 // on one Transport may not be called concurrently with each other except

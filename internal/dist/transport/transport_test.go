@@ -146,6 +146,10 @@ func TestWireFailurePaths(t *testing.T) {
 		{"payload-length-lie", frameBytes(frameHeader{
 			version: wireVersion, kind: kindTensor, rows: 2, cols: 2, payloadLen: 12,
 		}, make([]byte, 12)), ErrWireFormat},
+		// 32768·32768·4 wraps to 0 in uint32; payload 0 must not pass.
+		{"shape-overflow", frameBytes(frameHeader{
+			version: wireVersion, kind: kindTensor, rows: 1 << 15, cols: 1 << 15,
+		}, nil), ErrWireFormat},
 		{"bad-magic", func() []byte {
 			b := frameBytes(frameHeader{version: wireVersion, kind: kindTensor, flags: flagNil}, nil)
 			b[0] = 'X'
@@ -164,6 +168,11 @@ func TestWireFailurePaths(t *testing.T) {
 	// A clean close between frames is io.EOF, not a truncation.
 	if _, err := readTensor(bytes.NewReader(nil), hdr); err != io.EOF {
 		t.Fatalf("clean close must be io.EOF, got %v", err)
+	}
+	// The writer refuses a shape whose byte length overflows the header
+	// field instead of framing a truncated length (shape only, no data).
+	if _, err := writeTensor(io.Discard, &scratch, &tensor.Mat{Rows: 1 << 15, Cols: 1 << 15}); !errors.Is(err, ErrWireFormat) {
+		t.Fatalf("oversized tensor: got %v, want ErrWireFormat", err)
 	}
 }
 

@@ -89,11 +89,13 @@ func readHeader(r io.Reader, buf []byte) (frameHeader, error) {
 		if h.rows > maxDim || h.cols > maxDim {
 			return h, fmt.Errorf("%w: tensor shape %dx%d out of range", ErrWireFormat, h.rows, h.cols)
 		}
-		want := uint32(0)
+		// 64-bit: rows·cols·4 overflows uint32 well inside maxDim, and a
+		// wrapped product must not pass for a small payload.
+		want := uint64(0)
 		if h.flags&flagNil == 0 {
-			want = h.rows * h.cols * 4
+			want = uint64(h.rows) * uint64(h.cols) * 4
 		}
-		if h.payloadLen != want {
+		if uint64(h.payloadLen) != want {
 			return h, fmt.Errorf("%w: tensor frame %dx%d declares %d payload bytes, want %d",
 				ErrWireFormat, h.rows, h.cols, h.payloadLen, want)
 		}
@@ -109,13 +111,19 @@ func readHeader(r io.Reader, buf []byte) (frameHeader, error) {
 
 // writeTensor frames m onto w, reusing *scratch across calls for the encode
 // buffer. It returns the payload byte count (0 for nil or empty matrices).
+// A matrix whose shape does not fit the header's fields is rejected with
+// ErrWireFormat rather than truncated.
 func writeTensor(w io.Writer, scratch *[]byte, m *tensor.Mat) (int64, error) {
 	h := frameHeader{version: wireVersion, kind: kindTensor}
 	if m == nil {
 		h.flags = flagNil
 	} else {
+		n := int64(m.Rows) * int64(m.Cols) * 4
+		if m.Rows > maxDim || m.Cols > maxDim || n > math.MaxUint32 {
+			return 0, fmt.Errorf("%w: tensor %dx%d does not fit a frame", ErrWireFormat, m.Rows, m.Cols)
+		}
 		h.rows, h.cols = uint32(m.Rows), uint32(m.Cols)
-		h.payloadLen = uint32(len(m.Data) * 4)
+		h.payloadLen = uint32(n)
 	}
 	need := headerLen + int(h.payloadLen)
 	if cap(*scratch) < need {

@@ -15,9 +15,9 @@ import (
 //
 // The per-head section is dispatched through the attached execution Plan:
 // under the head-parallel Runtime heads fan out across worker slots, each
-// drawing kernel scratch from its slot's workspace; under the SeqParallel
-// plan P rank goroutines reshard sequence↔heads through channel all-to-alls
-// and run their local heads under per-rank workspaces. Heads are fully
+// drawing kernel scratch from its slot's workspace; under the
+// DistSeqParallel plan each rank runs its Heads/P heads under its own
+// workspace and an all-gather reassembles their outputs. Heads are fully
 // independent — they read shared Q/K/V and write disjoint column ranges of
 // the shared output (and disjoint bias-table gradient entries, since every
 // index is ≡ head (mod Heads)) — so every plan is race-free and bitwise

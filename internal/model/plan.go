@@ -1,12 +1,6 @@
 package model
 
-import (
-	"fmt"
-
-	"torchgt/internal/dist"
-	"torchgt/internal/nn"
-	"torchgt/internal/tensor"
-)
+import "torchgt/internal/tensor"
 
 // Plan is the execution strategy of a model: how the attention-head section
 // of every Block/MHA is scheduled and where its scratch memory lives. The
@@ -16,18 +10,20 @@ import (
 //   - *Runtime — the single-process engine: heads fan out across worker-slot
 //     workspaces (Workers: 1 degrades to fully sequential execution). A nil
 //     *Runtime is itself a valid Plan: sequential, heap-allocated.
-//   - *SeqParallel — the simulated multi-GPU engine: P rank goroutines own
-//     S/P sequence rows each and reshard sequence↔heads through dist.Comm
-//     all-to-alls at every attention boundary (the DeepSpeed-Ulysses pattern
-//     behind the paper's Cluster-aware Graph Parallelism, §III-C).
+//   - *DistSeqParallel — sequence parallelism (the paper's Cluster-aware
+//     Graph Parallelism, §III-C): each rank runs Heads/P attention heads
+//     over the full sequence and one all-gather per attention boundary
+//     reassembles them. It hosts every rank of an in-process job (one
+//     goroutine each, over a transport.NewMem world) or one rank of a
+//     cross-process job.
 //
 // Every Plan is pinned bitwise-equal to sequential execution; see
 // DESIGN.md "Sequence parallelism as an execution plan" for the argument.
 // The interface is sealed (unexported methods): plans live in this package,
 // next to the layer internals they schedule.
 type Plan interface {
-	// Ranks reports the number of simulated devices (1 for single-process
-	// plans).
+	// Ranks reports the sequence-parallel degree (1 for the single-process
+	// Runtime).
 	Ranks() int
 	// StepReset returns all plan-owned workspace buffers to the shared
 	// pools. Call at optimiser-step boundaries, after gradients are
@@ -57,267 +53,4 @@ func normPlan(p Plan) Plan {
 		return (*Runtime)(nil)
 	}
 	return p
-}
-
-// AsSeqParallel returns p as a *SeqParallel when that is what it is, else
-// nil. The training loop uses this to run the gradient-synchronisation
-// collective at optimiser-step boundaries.
-func AsSeqParallel(p Plan) *SeqParallel {
-	if sp, ok := p.(*SeqParallel); ok {
-		return sp
-	}
-	return nil
-}
-
-// SeqParallel executes a model under simulated sequence parallelism: P rank
-// goroutines each own a contiguous shard of ⌈S/P⌉ sequence rows (the tail
-// shard may be short or empty) and Heads/P attention heads. Row-wise layers
-// (projections, norms, FFN, loss) are sequence-decomposable and run once
-// over the full sequence in the shared address space — bitwise identical to
-// computing each shard on its owning rank. At every attention boundary the
-// plan does what a real deployment does: two dist.Comm all-to-alls reshard
-// the projected q/k/v from sequence shards to worker-local heads over the
-// full sequence, each rank runs its heads' kernels with scratch drawn from
-// its own per-rank workspace, and two more all-to-alls reshard the outputs
-// back (8 all-to-alls per layer per fwd+bwd step, the Ulysses schedule).
-//
-// Training under this plan is pinned bitwise-equal to the serial trajectory
-// at every P: resharding only moves bytes, per-head kernels see exactly the
-// full-sequence inputs the serial path builds, and shard outputs are
-// assembled with the same zero-initialise-then-add ordering the serial
-// engine uses. SyncGradients performs the gradient all-reduce's exchange
-// round in fixed rank order (see its doc) so the simulation's traffic
-// accounting matches what the determinism argument requires of a real
-// cluster.
-type SeqParallel struct {
-	// P is the number of simulated ranks.
-	P int
-
-	comm   *dist.Comm
-	wss    []*tensor.Workspace // one per rank; nil slots when pooling off
-	shared *tensor.Workspace   // serial sections: residuals, concat, dq/dk/dv
-}
-
-// NewSeqParallel builds a sequence-parallel plan of p ranks. opts follows
-// ExecOptions semantics: PoolEnabled draws per-rank kernel scratch from
-// pooled workspaces (Workers is ignored — within a rank, that rank's heads
-// run sequentially, as they would on one GPU).
-func NewSeqParallel(p int, opts ExecOptions) *SeqParallel {
-	if p < 1 {
-		p = 1
-	}
-	sp := &SeqParallel{P: p, comm: dist.NewComm(p)}
-	sp.wss = make([]*tensor.Workspace, p)
-	if opts.PoolEnabled {
-		for i := range sp.wss {
-			sp.wss[i] = tensor.NewWorkspace()
-		}
-		sp.shared = tensor.NewWorkspace()
-	}
-	return sp
-}
-
-// Ranks implements Plan.
-func (p *SeqParallel) Ranks() int { return p.P }
-
-// Comm exposes the plan's collective communicator (traffic accounting).
-func (p *SeqParallel) Comm() *dist.Comm { return p.comm }
-
-// StepReset implements Plan: returns every rank's buffers (and the serial
-// section's) to the shared pools. Safe only at step boundaries, once all
-// collectives have completed — Run is a full barrier, so no rank can still
-// be reading a peer's send buffer.
-func (p *SeqParallel) StepReset() {
-	for _, ws := range p.wss {
-		ws.Reset()
-	}
-	p.shared.Reset()
-}
-
-// AllocStats implements Plan.
-func (p *SeqParallel) AllocStats() tensor.WorkspaceStats {
-	var st tensor.WorkspaceStats
-	for _, ws := range append([]*tensor.Workspace{p.shared}, p.wss...) {
-		s := ws.Stats()
-		st.Gets += s.Gets
-		st.PoolHits += s.PoolHits
-		st.Resets += s.Resets
-		st.InUse += s.InUse
-		st.HeldBytes += s.HeldBytes
-	}
-	return st
-}
-
-func (p *SeqParallel) workspace(int) *tensor.Workspace { return p.shared }
-
-// Shard reports the half-open row range [lo, hi) of a length-s sequence
-// owned by rank. Shards are ⌈s/P⌉ rows; when P does not divide s the tail
-// shard is short or empty (zero-row shards still participate in every
-// collective, which Comm supports).
-func (p *SeqParallel) Shard(rank, s int) (lo, hi int) {
-	chunk := (s + p.P - 1) / p.P
-	lo = rank * chunk
-	if lo > s {
-		lo = s
-	}
-	hi = lo + chunk
-	if hi > s {
-		hi = s
-	}
-	return lo, hi
-}
-
-// checkHeads validates the head distribution once per forward.
-func (p *SeqParallel) checkHeads(m *MHA) int {
-	if m.Heads%p.P != 0 {
-		panic(fmt.Sprintf("model: %d heads not divisible by %d sequence-parallel ranks", m.Heads, p.P))
-	}
-	return m.Heads / p.P
-}
-
-// toHeads reshards a rank's row shard (rows×Hidden-slice) to the full
-// sequence restricted to the rank's head columns: one all-to-all moving
-// each destination rank's column block, then an in-order row assembly.
-// w is the per-rank column width (Hidden/P for q/k/v).
-func (p *SeqParallel) toHeads(rank int, local *tensor.Mat, s int, ws *tensor.Workspace) *tensor.Mat {
-	w := local.Cols / p.P
-	parts := make([]*tensor.Mat, p.P)
-	for d := 0; d < p.P; d++ {
-		parts[d] = colSlice(ws, local, d*w, w)
-	}
-	recv := p.comm.AllToAll(rank, parts)
-	out := ws.GetUninit(s, w)
-	for src := 0; src < p.P; src++ {
-		lo, _ := p.Shard(src, s)
-		for i := 0; i < recv[src].Rows; i++ {
-			copy(out.Row(lo+i), recv[src].Row(i))
-		}
-	}
-	return out
-}
-
-// toRows is the inverse reshard: full-sequence local-head columns (S×w)
-// back to the rank's row shard across all ranks' column blocks (rows×w·P).
-func (p *SeqParallel) toRows(rank int, headsLoc *tensor.Mat, s int, ws *tensor.Workspace) *tensor.Mat {
-	lo, hi := p.Shard(rank, s)
-	parts := make([]*tensor.Mat, p.P)
-	for d := 0; d < p.P; d++ {
-		dlo, dhi := p.Shard(d, s)
-		parts[d] = headsLoc.SliceRows(dlo, dhi)
-	}
-	recv := p.comm.AllToAll(rank, parts)
-	out := ws.GetUninit(hi-lo, headsLoc.Cols*p.P)
-	for src := 0; src < p.P; src++ {
-		setColsInto(out, recv[src], src*headsLoc.Cols)
-	}
-	return out
-}
-
-// setColsInto copies src into dst columns [c0, c0+src.Cols).
-func setColsInto(dst, src *tensor.Mat, c0 int) {
-	for i := 0; i < src.Rows; i++ {
-		copy(dst.Row(i)[c0:c0+src.Cols], src.Row(i))
-	}
-}
-
-// forwardHeads implements Plan: Ulysses-resharded per-head attention. Each
-// rank projects nothing (projections are row-wise and already done),
-// reshards its q/k/v row shard to full-sequence local heads, runs its heads'
-// kernels under its own workspace, and reshards the outputs back to rows.
-// Assembly mirrors the serial engine's zero-initialise-then-add ordering so
-// the concatenated output is bitwise identical to sequential execution.
-func (p *SeqParallel) forwardHeads(m *MHA, q, k, v *tensor.Mat, spec *AttentionSpec) *tensor.Mat {
-	s := q.Rows
-	hp := p.checkHeads(m)
-	concat := p.shared.Get(s, m.Hidden)
-	err := dist.Run(p.comm, func(rank int) {
-		ws := p.wss[rank]
-		lo, hi := p.Shard(rank, s)
-		qh := p.toHeads(rank, q.SliceRows(lo, hi), s, ws)
-		kh := p.toHeads(rank, k.SliceRows(lo, hi), s, ws)
-		vh := p.toHeads(rank, v.SliceRows(lo, hi), s, ws)
-		headsOut := ws.Get(s, hp*m.Dh)
-		for j := 0; j < hp; j++ {
-			h := rank*hp + j
-			kr := m.newKernel(h, spec, s, ws)
-			m.kernels[h] = kr
-			oh := kr.Forward(
-				colSlice(ws, qh, j*m.Dh, m.Dh),
-				colSlice(ws, kh, j*m.Dh, m.Dh),
-				colSlice(ws, vh, j*m.Dh, m.Dh))
-			addColSlice(headsOut, oh, j*m.Dh)
-		}
-		outLoc := p.toRows(rank, headsOut, s, ws)
-		tensor.AddInPlace(concat.SliceRows(lo, hi), outLoc)
-	})
-	if err != nil {
-		panic(err)
-	}
-	return concat
-}
-
-// backwardHeads implements Plan: the mirrored backward resharding. Bias
-// gradients are accumulated per head; all written table entries are
-// ≡ head (mod Heads), so concurrent ranks touch disjoint entries exactly as
-// the head-parallel runtime does.
-func (p *SeqParallel) backwardHeads(m *MHA, dConcat *tensor.Mat) (dq, dk, dv *tensor.Mat) {
-	s := dConcat.Rows
-	hp := p.checkHeads(m)
-	dq = p.shared.Get(s, m.Hidden)
-	dk = p.shared.Get(s, m.Hidden)
-	dv = p.shared.Get(s, m.Hidden)
-	err := dist.Run(p.comm, func(rank int) {
-		ws := p.wss[rank]
-		lo, hi := p.Shard(rank, s)
-		dch := p.toHeads(rank, dConcat.SliceRows(lo, hi), s, ws)
-		dqh := ws.Get(s, hp*m.Dh)
-		dkh := ws.Get(s, hp*m.Dh)
-		dvh := ws.Get(s, hp*m.Dh)
-		for j := 0; j < hp; j++ {
-			h := rank*hp + j
-			dqj, dkj, dvj := m.kernels[h].Backward(colSlice(ws, dch, j*m.Dh, m.Dh))
-			addColSlice(dqh, dqj, j*m.Dh)
-			addColSlice(dkh, dkj, j*m.Dh)
-			addColSlice(dvh, dvj, j*m.Dh)
-			m.AccumBiasGrads(h, m.kernels[h], m.spec)
-		}
-		tensor.AddInPlace(dq.SliceRows(lo, hi), p.toRows(rank, dqh, s, ws))
-		tensor.AddInPlace(dk.SliceRows(lo, hi), p.toRows(rank, dkh, s, ws))
-		tensor.AddInPlace(dv.SliceRows(lo, hi), p.toRows(rank, dvh, s, ws))
-	})
-	if err != nil {
-		panic(err)
-	}
-	return dq, dk, dv
-}
-
-// SyncGradients runs the gradient-synchronisation collective that ends
-// every sequence-parallel optimiser step. In this shared-address-space
-// simulation each rank already holds the fully-reduced gradients — the
-// layers accumulate sequence reductions once, in serial order — so the
-// collective's job is the exchange round and its barrier semantics: every
-// rank all-gathers the flattened gradient vector, moving exactly the bytes
-// a P-replica deployment's all-reduce would move. A real deployment must
-// additionally sum the rank partials in fixed rank order (dist.Comm's
-// AllReduce does) to keep replicas bitwise identical; see DESIGN.md.
-func (p *SeqParallel) SyncGradients(params []*nn.Param) {
-	if p.P <= 1 {
-		return
-	}
-	n := 0
-	for _, pr := range params {
-		n += len(pr.Grad.Data)
-	}
-	flat := p.shared.GetUninit(1, n)
-	off := 0
-	for _, pr := range params {
-		copy(flat.Data[off:], pr.Grad.Data)
-		off += len(pr.Grad.Data)
-	}
-	if err := dist.Run(p.comm, func(rank int) {
-		p.comm.AllGather(rank, flat)
-	}); err != nil {
-		panic(err)
-	}
-	p.shared.Put(flat)
 }

@@ -64,7 +64,7 @@ func (r *Runtime) Options() ExecOptions {
 	return r.opts
 }
 
-// Ranks implements Plan: the single-process engine is one simulated device.
+// Ranks implements Plan: the single-process engine is one device.
 func (r *Runtime) Ranks() int { return 1 }
 
 // workspace returns the worker-slot workspace (nil when pooling is off or r

@@ -33,7 +33,7 @@ type GraphTransformer struct {
 }
 
 // SetPlan swaps the execution plan — serial or head-parallel (*Runtime), or
-// sequence-parallel (*SeqParallel) — for the model and all of its blocks. A
+// sequence-parallel (*DistSeqParallel) — for the model and all of its blocks. A
 // nil plan reverts to sequential, unpooled execution.
 func (g *GraphTransformer) SetPlan(p Plan) {
 	g.plan = normPlan(p)
@@ -51,7 +51,7 @@ func (g *GraphTransformer) SetRuntime(rt *Runtime) { g.SetPlan(rt) }
 func (g *GraphTransformer) Plan() Plan { return normPlan(g.plan) }
 
 // Runtime reports the model's single-process execution engine, or nil when
-// the model runs under a different plan (e.g. SeqParallel).
+// the model runs under a different plan (e.g. DistSeqParallel).
 func (g *GraphTransformer) Runtime() *Runtime {
 	rt, _ := g.plan.(*Runtime)
 	return rt

@@ -42,7 +42,7 @@ type Config struct {
 	// batch into single block-diagonal packed forwards (graph task),
 	// reducing per-step attention-call count. Per-step gradients are
 	// bitwise identical to the unpacked loop — packing is purely a
-	// throughput knob. Off by default; ignored under SeqParallel.
+	// throughput knob. Off by default.
 	Pack bool
 	// SeqLen is the sampled sequence length (seq task; 0 or larger than the
 	// graph clamps to the full node count at trainer construction).
@@ -59,8 +59,10 @@ type Config struct {
 	// workspace pooling); nil keeps the pooled default. Under sequence
 	// parallelism only PoolEnabled applies (per-rank workspaces).
 	Exec *model.ExecOptions
-	// SeqParallel runs the model under the simulated sequence-parallel
-	// execution plan of this many ranks (0 or 1 = single device). Training
+	// SeqParallel runs the model under the sequence-parallel execution plan
+	// with this many ranks hosted in process (0 or 1 = single device): each
+	// rank runs its share of the attention heads in its own goroutine over
+	// an in-process transport (model.NewInProcessSeqParallel). Training
 	// under the plan is bitwise identical to serial training; the model's
 	// head count must be divisible by the rank count. Structural: recorded
 	// in checkpoints and fixed across resume.
@@ -112,9 +114,10 @@ func (c Config) withDefaults() Config {
 
 // applyExec attaches the configured execution plan to a freshly built model
 // — the single construction path used by every trainer. SeqParallel > 1
-// selects the sequence-parallel plan (per-rank workspaces, comm resharding
-// at attention boundaries); otherwise an explicit Exec override swaps in a
-// head-parallel Runtime, and nil Exec keeps the model's pooled default.
+// selects the in-process sequence-parallel plan (per-rank workspaces, a
+// head all-gather at every attention boundary); otherwise an explicit Exec
+// override swaps in a head-parallel Runtime, and nil Exec keeps the model's
+// pooled default.
 func (c Config) applyExec(m *model.GraphTransformer) {
 	if c.SeqParallel > 1 {
 		if m.Cfg.Heads%c.SeqParallel != 0 {
@@ -125,7 +128,7 @@ func (c Config) applyExec(m *model.GraphTransformer) {
 		if c.Exec != nil {
 			eo = *c.Exec
 		}
-		m.SetPlan(model.NewSeqParallel(c.SeqParallel, eo))
+		m.SetPlan(model.NewInProcessSeqParallel(c.SeqParallel, eo))
 		return
 	}
 	if c.Exec != nil {

@@ -155,8 +155,7 @@ func (tr *GraphTrainer) Steps(int) int {
 // (shuffled) batch are coalesced into one block-diagonal packed forward each
 // — same graphs, same order, bitwise-identical gradients and RNG streams,
 // fewer attention calls. Dense-overlay steps and mixed-precision boundaries
-// fall back to the per-graph path, as does sequence-parallel execution
-// (whose plan shards one sequence, not a packed batch).
+// fall back to the per-graph path.
 func (tr *GraphTrainer) Step(_, s, globalStep int) {
 	lo := s * tr.Cfg.BatchSize
 	hi := lo + tr.Cfg.BatchSize
@@ -164,7 +163,7 @@ func (tr *GraphTrainer) Step(_, s, globalStep int) {
 		hi = len(tr.order)
 	}
 	batch := tr.order[lo:hi]
-	if !tr.Cfg.Pack || tr.Cfg.SeqParallel > 1 {
+	if !tr.Cfg.Pack {
 		for _, oi := range batch {
 			tr.stepOne(tr.DS.TrainIdx[oi], globalStep)
 		}

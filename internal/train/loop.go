@@ -294,13 +294,6 @@ func (l *Loop) Run(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// gradSyncer is implemented by the execution plans that need a
-// gradient-synchronisation collective at optimiser-step boundaries
-// (model.SeqParallel in-process, model.DistSeqParallel across processes).
-// Resolved from the model's plan at step time, not cached at construction,
-// because distributed sessions attach their plan after the trainer is built.
-type gradSyncer interface{ SyncGradients([]*nn.Param) }
-
 // runStep executes one optimiser step as a transaction. Under a distributed
 // plan a peer rank can disappear mid-step — the collective panics with a
 // transport.ErrRankLost — in which case every stream the half-finished step
@@ -346,10 +339,12 @@ func (l *Loop) runStep() (err error) {
 		err = e
 	}()
 	l.Task.Step(l.epoch, l.stepInEpoch, l.globalStep)
-	if gs, ok := l.model.Plan().(gradSyncer); ok {
-		// the gradient-synchronisation collective that closes every
-		// parallel optimiser step (fixed rank order)
-		gs.SyncGradients(l.params)
+	// The gradient-synchronisation collective that closes every
+	// sequence-parallel optimiser step (fixed rank order). The plan is
+	// resolved at step time, not cached at construction, because
+	// distributed sessions attach theirs after the trainer is built.
+	if sp := model.AsDistSeqParallel(l.model.Plan()); sp != nil {
+		sp.SyncGradients(l.params)
 	}
 	nn.StepWith(l.opt, l.sched, l.epoch, l.params)
 	// step boundary: every gradient is consumed, recycle workspaces

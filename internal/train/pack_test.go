@@ -15,7 +15,9 @@ import (
 // per-graph order. The table crosses both task kinds with both the pure
 // sparse method and the dual-interleaved method (whose dense-overlay epochs
 // exercise the mixed packed/unpacked fallback inside one run), with a batch
-// size that leaves an uneven tail batch.
+// size that leaves an uneven tail batch. Packed training is checked both on
+// one device and under 2-rank sequence parallelism, against the same
+// unpacked serial run.
 func TestPackedTrainingBitwiseEqual(t *testing.T) {
 	skipIfShort(t)
 	cases := []struct {
@@ -40,7 +42,7 @@ func TestPackedTrainingBitwiseEqual(t *testing.T) {
 			if tc.task == graph.GraphClassification {
 				out = 3
 			}
-			run := func(pack bool) (*GraphTrainer, *Result) {
+			run := func(pack bool, seqpar int) (*GraphTrainer, *Result) {
 				ds := graph.MakeGraphDataset(dcfg)
 				cfg := model.GraphormerSlim(7, out, 23)
 				cfg.Layers = 2
@@ -49,52 +51,53 @@ func TestPackedTrainingBitwiseEqual(t *testing.T) {
 				// TorchGT; BatchSize 7 over ~24 train graphs leaves a tail.
 				tr := NewGraphTrainer(GraphConfig{
 					Method: tc.method, Epochs: 4, LR: 2e-3,
-					BatchSize: 7, Interval: 2, Seed: 31, Pack: pack,
+					BatchSize: 7, Interval: 2, Seed: 31, Pack: pack, SeqParallel: seqpar,
 				}, cfg, ds)
 				res := tr.Run()
 				return tr, res
 			}
-			trU, resU := run(false)
-			trP, resP := run(true)
-
-			if len(resU.Curve) != len(resP.Curve) {
-				t.Fatalf("curve lengths differ: %d vs %d", len(resU.Curve), len(resP.Curve))
-			}
-			for i := range resU.Curve {
-				if resU.Curve[i].Loss != resP.Curve[i].Loss {
-					t.Fatalf("epoch %d loss differs: %v unpacked vs %v packed (not bitwise)",
-						i, resU.Curve[i].Loss, resP.Curve[i].Loss)
+			trU, resU := run(false, 0)
+			for _, seqpar := range []int{0, 2} {
+				trP, resP := run(true, seqpar)
+				if len(resU.Curve) != len(resP.Curve) {
+					t.Fatalf("SeqParallel=%d: curve lengths differ: %d vs %d", seqpar, len(resU.Curve), len(resP.Curve))
 				}
-				if resU.Curve[i].Pairs != resP.Curve[i].Pairs {
-					t.Fatalf("epoch %d attended pairs differ: %d vs %d",
-						i, resU.Curve[i].Pairs, resP.Curve[i].Pairs)
-				}
-			}
-			pu, pp := trU.Model.Params(), trP.Model.Params()
-			if len(pu) != len(pp) {
-				t.Fatalf("param count differs: %d vs %d", len(pu), len(pp))
-			}
-			for x := range pu {
-				a, b := pu[x].W.Data, pp[x].W.Data
-				if len(a) != len(b) {
-					t.Fatalf("param %s shape differs", pu[x].Name)
-				}
-				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("param %s element %d differs: %v vs %v (not bitwise)",
-							pu[x].Name, i, a[i], b[i])
+				for i := range resU.Curve {
+					if resU.Curve[i].Loss != resP.Curve[i].Loss {
+						t.Fatalf("SeqParallel=%d: epoch %d loss differs: %v unpacked vs %v packed (not bitwise)",
+							seqpar, i, resU.Curve[i].Loss, resP.Curve[i].Loss)
+					}
+					if resU.Curve[i].Pairs != resP.Curve[i].Pairs {
+						t.Fatalf("SeqParallel=%d: epoch %d attended pairs differ: %d vs %d",
+							seqpar, i, resU.Curve[i].Pairs, resP.Curve[i].Pairs)
 					}
 				}
-			}
+				pu, pp := trU.Model.Params(), trP.Model.Params()
+				if len(pu) != len(pp) {
+					t.Fatalf("SeqParallel=%d: param count differs: %d vs %d", seqpar, len(pu), len(pp))
+				}
+				for x := range pu {
+					a, b := pu[x].W.Data, pp[x].W.Data
+					if len(a) != len(b) {
+						t.Fatalf("SeqParallel=%d: param %s shape differs", seqpar, pu[x].Name)
+					}
+					for i := range a {
+						if a[i] != b[i] {
+							t.Fatalf("SeqParallel=%d: param %s element %d differs: %v vs %v (not bitwise)",
+								seqpar, pu[x].Name, i, a[i], b[i])
+						}
+					}
+				}
 
-			// The whole point: packing must reduce the number of attention
-			// forwards. Unpacked issues one per graph per epoch; packed
-			// coalesces every all-sparse batch into one.
-			if trP.Forwards() >= trU.Forwards() {
-				t.Fatalf("packing did not reduce forwards: %d packed vs %d unpacked",
-					trP.Forwards(), trU.Forwards())
+				// The whole point: packing must reduce the number of
+				// attention forwards. Unpacked issues one per graph per
+				// epoch; packed coalesces every all-sparse batch into one.
+				if trP.Forwards() >= trU.Forwards() {
+					t.Fatalf("SeqParallel=%d: packing did not reduce forwards: %d packed vs %d unpacked",
+						seqpar, trP.Forwards(), trU.Forwards())
+				}
+				t.Logf("SeqParallel=%d forwards: %d unpacked -> %d packed", seqpar, trU.Forwards(), trP.Forwards())
 			}
-			t.Logf("forwards: %d unpacked -> %d packed", trU.Forwards(), trP.Forwards())
 		})
 	}
 }

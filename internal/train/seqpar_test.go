@@ -30,12 +30,12 @@ func runPair(t *testing.T, p int, build func(seqpar int) (Task, *model.GraphTran
 	if serialRes.FinalTestAcc != parRes.FinalTestAcc {
 		t.Fatalf("P=%d: final accuracy diverges: %v vs %v", p, serialRes.FinalTestAcc, parRes.FinalTestAcc)
 	}
-	if sp := model.AsSeqParallel(parModel.Plan()); sp == nil {
+	if sp := model.AsDistSeqParallel(parModel.Plan()); sp == nil {
 		if p > 1 {
 			t.Fatalf("P=%d: model is not running the sequence-parallel plan", p)
 		}
-	} else if p > 1 && sp.Comm().TotalBytes() == 0 {
-		t.Fatalf("P=%d: no resharding traffic recorded", p)
+	} else if p > 1 && sp.TransportBytes() == 0 {
+		t.Fatalf("P=%d: no head all-gather traffic recorded", p)
 	}
 }
 
@@ -128,7 +128,7 @@ func TestSeqParallelCancelCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp := model.AsSeqParallel(resumed.Model().Plan()); sp == nil || sp.P != 2 {
+	if sp := model.AsDistSeqParallel(resumed.Model().Plan()); sp == nil || sp.P != 2 {
 		t.Fatal("resumed model must run under the checkpointed SeqParallel(2) plan")
 	}
 	gotRes, err := resumed.Run(context.Background())

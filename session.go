@@ -109,15 +109,16 @@ func WithExec(e ExecOptions) SessionOption {
 	return func(s *sessionSettings) { ec := e; s.cfg.Exec = &ec }
 }
 
-// WithSeqParallel trains under the simulated sequence-parallel execution
-// plan of p ranks: every rank owns S/p sequence rows, attention reshards
-// sequence↔heads through channel all-to-alls at each layer (the
-// DeepSpeed-Ulysses schedule behind the paper's Cluster-aware Graph
-// Parallelism), and each optimiser step ends with the fixed-order gradient
-// synchronisation collective. The training trajectory is bitwise identical
-// to the serial plan at every p — sequence parallelism composes with Adam,
-// LR schedules, the beta tuner, dense↔cluster-sparse interleaving, typed
-// events and checkpoint/resume without changing a single number.
+// WithSeqParallel trains under the sequence-parallel execution plan with p
+// ranks hosted in this process (the paper's Cluster-aware Graph
+// Parallelism): row-wise layers run once over the full sequence, each rank
+// runs its Heads/p attention heads in its own goroutine, and one all-gather
+// over an in-process transport reassembles the heads at every attention
+// boundary — the same plan and schedule WithTransport runs across
+// processes. The training trajectory is bitwise identical to the serial
+// plan at every p — sequence parallelism composes with Adam, LR schedules,
+// the beta tuner, dense↔cluster-sparse interleaving, typed events and
+// checkpoint/resume without changing a single number.
 //
 // The model's head count must be divisible by p (NewSession reports an
 // error otherwise); the sequence length need not be. p ≤ 1 keeps the
@@ -133,8 +134,8 @@ func WithBatchSize(n int) SessionOption { return func(s *sessionSettings) { s.cf
 // WithPack coalesces each graph-level batch's contiguous runs of
 // sparse-attention graphs into single block-diagonal packed forwards,
 // reducing the attention-call count. Gradients stay bitwise identical to
-// the unpacked loop — packing is purely a throughput knob. Ignored under
-// sequence parallelism.
+// the unpacked loop — packing is purely a throughput knob. Composes with
+// WithSeqParallel.
 func WithPack() SessionOption { return func(s *sessionSettings) { s.cfg.Pack = true } }
 
 // WithSeqLen sets the sampled sequence length for NodeSeqTask.
@@ -313,15 +314,11 @@ func (s *Session) Epoch() int { return s.loop.Epoch() }
 // snapshot, custom evaluation, …).
 func (s *Session) Model() *GraphTransformer { return s.loop.Model() }
 
-// CommBytes reports the collective-communication traffic of a parallel
-// session so far (resharding all-to-alls plus gradient synchronisation):
-// all ranks' simulated traffic for an in-process sequence-parallel session,
-// this rank's transport payload bytes for a distributed one, 0 under the
-// single-device plan.
+// CommBytes reports the collective-communication payload bytes of a
+// parallel session so far (head all-gathers plus gradient
+// synchronisation): every rank's traffic for a WithSeqParallel session,
+// this rank's for a distributed one, 0 under the single-device plan.
 func (s *Session) CommBytes() int64 {
-	if sp := model.AsSeqParallel(s.loop.Model().Plan()); sp != nil {
-		return sp.Comm().TotalBytes()
-	}
 	if dp := model.AsDistSeqParallel(s.loop.Model().Plan()); dp != nil {
 		return dp.TransportBytes()
 	}

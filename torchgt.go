@@ -2,8 +2,8 @@
 // reproduction of "TorchGT: A Holistic System for Large-Scale Graph
 // Transformer Training" (SC 2024). It exposes synthetic dataset loading,
 // graph transformer model construction (Graphormer, GT, NodeFormer-lite and
-// GNN baselines), single-node and simulated-distributed training with the
-// paper's methods (GP-Raw, GP-Flash, GP-Sparse, TorchGT), and the experiment
+// GNN baselines), single-device and sequence-parallel training (in-process
+// ranks or real processes over TCP) with the paper's methods (GP-Raw, GP-Flash, GP-Sparse, TorchGT), and the experiment
 // harness that regenerates every table and figure of the paper's evaluation.
 //
 // Quick start (Session API — cancellable, observable, resumable):
@@ -30,7 +30,6 @@ import (
 	"torchgt/internal/dist"
 	"torchgt/internal/graph"
 	"torchgt/internal/model"
-	"torchgt/internal/nn"
 	"torchgt/internal/train"
 )
 
@@ -232,66 +231,8 @@ func TrainNodeSeq(method Method, cfg ModelConfig, ds *NodeDataset, opts TrainOpt
 	return s.Run(context.Background())
 }
 
-// DistTrainer is the frozen compatibility wrapper over the sequence-parallel
-// execution plan: a dropout-free model trained with Adam at a fixed LR, one
-// full-sequence optimiser step per Step call, resharding sequence↔heads
-// through channel all-to-alls exactly as Sessions built with WithSeqParallel
-// do. It exists so code written against the pre-Plan P-worker runtime keeps
-// running; the hand-rolled layer math it used to carry is gone — there is
-// exactly one implementation of sequence parallelism behind it.
-//
-// Deprecated: use NewSession with WithSeqParallel(p), which adds the full
-// engine (LR schedules, the beta tuner, dense↔cluster-sparse interleaving,
-// typed events, bitwise checkpoint/resume) to sequence-parallel training.
-type DistTrainer struct {
-	// P is the number of simulated ranks.
-	P int
-	// Comm is the plan's collective communicator (traffic accounting).
-	Comm *dist.Comm
-
-	m      *GraphTransformer
-	plan   *model.SeqParallel
-	opt    *nn.Adam
-	params []*nn.Param
-}
-
-// NewDistTrainer builds a P-rank sequence-parallel trainer. The head count
-// must be divisible by p; the sequence length no longer has to be (short or
-// empty tail shards are handled).
-//
-// Deprecated: use NewSession with WithSeqParallel(p).
-func NewDistTrainer(p int, cfg ModelConfig, lr float64) *DistTrainer {
-	if p < 1 {
-		p = 1
-	}
-	cfg.Dropout = 0 // mirrors the deterministic sharded-training contract
-	m := model.NewGraphTransformer(cfg)
-	if m.Global != nil {
-		panic("torchgt: DistTrainer supports node-level models only (no global token)")
-	}
-	plan := model.NewSeqParallel(p, ExecOptions{PoolEnabled: true})
-	m.SetPlan(plan)
-	opt := nn.NewAdam(lr)
-	opt.ClipNorm = 5
-	return &DistTrainer{P: p, Comm: plan.Comm(), m: m, plan: plan, opt: opt, params: m.Params()}
-}
-
-// Step runs one synchronous sequence-parallel training iteration over the
-// full sequence and returns the training loss.
-func (t *DistTrainer) Step(in *Inputs, spec *AttentionSpec, y []int32, mask []bool) float64 {
-	logits := t.m.Forward(in, spec, true)
-	loss, dl := nn.SoftmaxCrossEntropy(logits, y, mask)
-	t.m.Backward(dl)
-	t.plan.SyncGradients(t.params)
-	t.opt.Step(t.params)
-	return loss
-}
-
-// Model exposes the model under training.
-func (t *DistTrainer) Model() *GraphTransformer { return t.m }
-
 // SparseNodeSpec builds the topology-induced attention spec for a node
-// dataset (used with DistTrainer and custom loops).
+// dataset (used with custom training loops).
 func SparseNodeSpec(ds *NodeDataset) *model.AttentionSpec {
 	p := sparsePattern(ds)
 	return &model.AttentionSpec{Mode: model.ModeSparse, Pattern: p}

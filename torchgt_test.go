@@ -85,27 +85,6 @@ func TestPublicSeqTrainer(t *testing.T) {
 	}
 }
 
-func TestPublicDistTrainer(t *testing.T) {
-	ds, err := LoadNodeDataset("arxiv-sim", 128, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := GraphormerSlim(ds.X.Cols, ds.NumClasses, 12)
-	cfg.Layers = 1
-	cfg.Heads = 4
-	cfg.Hidden = 16
-	cfg.Dropout = 0
-	dt := NewDistTrainer(2, cfg, 1e-3)
-	loss1 := dt.Step(NodeInputs(ds), SparseNodeSpec(ds), ds.Y, ds.TrainMask)
-	loss2 := dt.Step(NodeInputs(ds), SparseNodeSpec(ds), ds.Y, ds.TrainMask)
-	if !(loss2 < loss1) {
-		t.Fatalf("distributed training should reduce loss: %v -> %v", loss1, loss2)
-	}
-	if dt.Comm.TotalBytes() == 0 {
-		t.Fatal("communication volume must be recorded")
-	}
-}
-
 func TestPublicExperiments(t *testing.T) {
 	ids := ExperimentIDs()
 	if len(ids) < 15 {

@@ -48,8 +48,8 @@ func Rendezvous(ctx context.Context, addr string, rank, world int, o TransportOp
 // MemCluster builds an in-process world of connected transports, one per
 // rank — the same collectives as TCP without sockets. Run each rank's
 // session in its own goroutine; payloads move by pointer, so it is the
-// cheap way to test distributed layouts (and the engine behind the
-// simulated in-process communicator).
+// cheap way to test distributed layouts (and the transport WithSeqParallel
+// hosts all of its ranks on inside one session).
 func MemCluster(world int) []Transport {
 	mesh := transport.NewMem(world)
 	ts := make([]Transport, len(mesh))
